@@ -260,7 +260,7 @@ def cmd_diagnose(args, out) -> int:
                 for n, r in probes
             ],
         }
-        out.write(_json.dumps(payload, indent=2) + "\n")
+        out.write(_json.dumps(payload, separators=(",", ":")) + "\n")
         return 0
     for text in lines:
         out.write(text + "\n")

@@ -69,10 +69,10 @@ def acceleration_condition(series: SeriesDef, s: HPComplex, m: int, n: int,
         if abs(r_n) == 0:
             raise ValueError(f"remainder vanishes at n={n}; limit already reached")
     w = lambda_weights(series, m, n)
-    out = HPComplex(0, 0, prec)
-    for k in range(mp_width):
-        out = out + (w.M[k + 1] / w.M[0]) * (sums.a[n + k] / r_n)
-    return out
+    with mp.workdps(prec):
+        total = mp.fdot([v.value for v in w.M[1:]],
+                        [v.value for v in sums.a[n:n + mp_width]])
+        return HPComplex.from_mpc(total / (w.M[0].value * r_n.value), prec)
 
 
 def asymptotic_coeffs(series: SeriesDef) -> AsymptoticCoeffs:

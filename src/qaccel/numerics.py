@@ -167,9 +167,6 @@ class HPComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def is_nonpositive_integer(self) -> bool:
         return self.im == 0 and self.re <= 0 and self.re == int(self.re)
 

@@ -10,9 +10,16 @@ s_n .. s_{n+mp} with polynomial weights
 Four equivalent evaluation paths are provided and cross-checked by the test
 suite: the weight quotient (canonical), the remainder form of the weights'
 partial tails, the explicit weighted forward-difference quotient, and (for
-p = 2) the recursive operator scheme.  The exact-rational twins at the
-bottom re-derive the weights independently with Fraction arithmetic for the
-coefficient and degree identities.
+p = 2) the recursive operator scheme.
+
+The first two share one weight kernel, ``_weights``.  It builds every
+lambda_j of a cell from a suffix product over the alpha factors and a
+prefix product over the beta factors, on raw mpmath values under one
+precision context: O(mp*p) multiplications per cell, no division, so exact
+zeros (terminating alpha, x = 0) stay exact.
+
+The exact-rational twins at the bottom re-derive the weights independently
+with Fraction arithmetic for the coefficient and degree identities.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Optional, Sequence
 from mpmath import mp
 
 from .numerics import HPComplex
-from .series import SeriesDef, PartialSums, partial_sums, poch_product
+from .series import SeriesDef, PartialSums, partial_sums
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -90,18 +97,72 @@ class QTable:
     cells: dict = field(default_factory=dict)
     flagged: set = field(default_factory=set)
 
-    @property
-    def n_range(self):
-        return (1, self.budget)
-
     def get(self, n: int, m: int) -> Optional[HPComplex]:
         return self.cells.get((n, m))
 
-    def rows(self):
-        p = self.series.p
-        for n in range(1, self.budget + 1):
-            yield n, [(m, self.cells.get((n, m)))
-                      for m in range(self.max_m + 1) if n + m * p <= self.budget]
+
+# -- the weight kernel: raw mpc values, called under the caller's workdps --
+
+def _raw_params(series: SeriesDef):
+    """(alpha, beta, -x) unboxed once, for any number of kernel calls."""
+    return ([g.value for g in series.alpha], [g.value for g in series.beta],
+            -series.x.value)
+
+
+def _factors(params, lo: int, hi: int, lead=1) -> list:
+    """[lead * prod_g (g + k) for k = lo..hi-1]."""
+    out = []
+    for k in range(lo, hi):
+        v = lead
+        for g in params:
+            v = v * (g + k)
+        out.append(v)
+    return out
+
+
+def _weights(raw, m: int, n: int):
+    """lambda_j and tails M_k (j, k = 0..mp) of cell (n, m).
+
+    lambda_j = C(mp, j) * prod_{i>=j} fa[i] * prod_{i<j} fb[i] with
+    fa[i] = (-x) prod_a (a+n+i) and fb[i] = prod_b (b+n+m-1+i): a suffix
+    and a prefix product, O(mp*p) multiplications and no division.
+    """
+    av, bv, neg_x = raw
+    width = m * len(av)
+    fa = _factors(av, n, n + width, neg_x)
+    fb = _factors(bv, n + m - 1, n + m - 1 + width)
+    suffix = [1] * (width + 1)
+    for j in range(width - 1, -1, -1):
+        suffix[j] = fa[j] * suffix[j + 1]
+    lam = []
+    prefix = 1
+    for j in range(width + 1):
+        lam.append(math.comb(width, j) * suffix[j] * prefix)
+        if j < width:
+            prefix = prefix * fb[j]
+    tails = lam[:]
+    for j in range(width - 1, -1, -1):
+        tails[j] = lam[j] + tails[j + 1]
+    return lam, tails
+
+
+def _degenerate_threshold(prec: int):
+    return mp.mpf(10) ** (4 - prec)
+
+
+def _cell_value(raw, m: int, n: int, s_window, a_window, path: TablePath,
+                threshold):
+    """Q^(m)_n on the DIRECT or REMAINDER path, from s_n..s_{n+mp} and
+    a_n..a_{n+mp-1}; raises DegenerateDenominatorError when
+    |M_0| < threshold * max|lambda_j| * (mp+1)."""
+    lam, tails = _weights(raw, m, n)
+    if abs(tails[0]) < threshold * max(abs(v) for v in lam) * len(lam):
+        raise DegenerateDenominatorError(
+            f"denominator M_0 negligible at (n={n}, m={m})"
+        )
+    if path is TablePath.DIRECT:
+        return mp.fdot(lam, s_window) / tails[0]
+    return s_window[0] + mp.fdot(tails[1:], a_window) / tails[0]
 
 
 def lambda_weights(series: SeriesDef, m: int, n: int) -> LambdaWeights:
@@ -110,30 +171,9 @@ def lambda_weights(series: SeriesDef, m: int, n: int) -> LambdaWeights:
         raise ValueError("m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    p = series.p
-    mp_width = m * p
     prec = series.precision.working
     with mp.workdps(prec):
-        av = [g.value for g in series.alpha]
-        bv = [g.value for g in series.beta]
-        xv = series.x.value
-        lam = []
-        for j in range(mp_width + 1):
-            v = math.comb(mp_width, j) * (-xv) ** (mp_width - j)
-            # fixed accumulation order: i ascending, factor ascending
-            for a in av:
-                for k in range(mp_width - j):
-                    v = v * (a + (n + j + k))
-            for b in bv:
-                for k in range(j):
-                    v = v * (b + (n + m - 1 + k))
-            lam.append(v)
-        tails = []
-        acc = mp.mpc(0)
-        for v in reversed(lam):
-            acc = acc + v
-            tails.append(acc)
-        tails.reverse()
+        lam, tails = _weights(_raw_params(series), m, n)
         return LambdaWeights(
             m=m, n=n,
             lam=tuple(HPComplex.from_mpc(v, prec) for v in lam),
@@ -141,64 +181,63 @@ def lambda_weights(series: SeriesDef, m: int, n: int) -> LambdaWeights:
         )
 
 
-def _check_denominator(weights: LambdaWeights):
-    prec = max(v.precision for v in weights.lam)
+def _single_cell(series: SeriesDef, sums: PartialSums, m: int, n: int,
+                 path: TablePath) -> HPComplex:
+    if m == 0:
+        return sums.s[n]
+    width = m * series.p
+    if n + width >= len(sums.s):
+        raise ValueError(f"partial sums cover only s_0..s_{len(sums.s)-1}")
+    prec = series.precision.working
     with mp.workdps(prec):
-        scale = max(abs(v) for v in weights.lam) * len(weights.lam)
-        if abs(weights.M[0]) < mp.mpf(10) ** (4 - prec) * scale:
-            raise DegenerateDenominatorError(
-                f"denominator M_0 negligible at (n={weights.n}, m={weights.m})"
-            )
+        value = _cell_value(_raw_params(series), m, n,
+                            [v.value for v in sums.s[n:n + width + 1]],
+                            [v.value for v in sums.a[n:n + width]],
+                            path, _degenerate_threshold(prec))
+        return HPComplex.from_mpc(value, prec)
 
 
 def q_direct(series: SeriesDef, sums: PartialSums, m: int, n: int) -> HPComplex:
     """Canonical path: Q^(m)_n = sum_j lambda_j s_{n+j} / sum_j lambda_j."""
-    if m == 0:
-        return sums.s[n]
-    w = lambda_weights(series, m, n)
-    _check_denominator(w)
-    mp_width = m * series.p
-    if n + mp_width >= len(sums.s):
-        raise ValueError(f"partial sums cover only s_0..s_{len(sums.s)-1}")
-    num = HPComplex(0, 0, series.precision.working)
-    for j in range(mp_width + 1):
-        num = num + w.lam[j] * sums.s[n + j]
-    return num / w.M[0]
+    return _single_cell(series, sums, m, n, TablePath.DIRECT)
 
 
 def q_remainder_form(series: SeriesDef, sums: PartialSums, m: int, n: int) -> HPComplex:
     """Remainder path: Q^(m)_n = s_n + sum_k (M_{k+1}/M_0) a_{n+k}."""
-    if m == 0:
-        return sums.s[n]
-    w = lambda_weights(series, m, n)
-    _check_denominator(w)
-    mp_width = m * series.p
-    out = sums.s[n]
-    for k in range(mp_width):
-        out = out + (w.M[k + 1] / w.M[0]) * sums.a[n + k]
-    return out
+    return _single_cell(series, sums, m, n, TablePath.REMAINDER)
 
 
-def _operator_weights(series: SeriesDef, m: int, n: int):
+def _operator_weights(series: SeriesDef, m: int, n: int) -> list:
     """Window of w_nu = [beta]_{nu+m-1} / ([alpha]_nu x^nu), rescaled.
 
+    Raw mpc values, called under the caller's workdps.  The two Pochhammer
+    products run across the window: O((n+m)p) to start, then O(p) per nu.
     The common rescaling keeps magnitudes tame; it cancels in the quotient.
     """
-    p = series.p
-    prec = series.precision.working
+    av = [g.value for g in series.alpha]
+    bv = [g.value for g in series.beta]
+    xv = series.x.value
+    num = mp.mpc(1)                    # [beta]_{nu+m-1}
+    for k in range(n + m - 1):
+        for b in bv:
+            num = num * (b + k)
+    den = mp.mpc(1)                    # [alpha]_nu x^nu
+    for k in range(n):
+        den = den * xv
+        for a in av:
+            den = den * (a + k)
     vals = []
-    with mp.workdps(prec):
-        for j in range(m * p + 1):
-            nu = n + j
-            w = poch_product(series.beta, nu + m - 1) / (
-                poch_product(series.alpha, nu) * series.x ** nu
-            )
-            vals.append(w)
-        scale = max(abs(v) for v in vals)
-        if scale == 0:
-            raise DegenerateDenominatorError("operator weights vanish")
-        vals = [v / HPComplex.from_mpc(scale, prec) for v in vals]
-    return vals
+    for nu in range(n, n + m * series.p + 1):
+        vals.append(num / den)
+        for b in bv:
+            num = num * (b + (nu + m - 1))
+        den = den * xv
+        for a in av:
+            den = den * (a + nu)
+    scale = max(abs(v) for v in vals)
+    if scale == 0:
+        raise DegenerateDenominatorError("operator weights vanish")
+    return [v / scale for v in vals]
 
 
 def _forward_diff(samples):
@@ -212,17 +251,17 @@ def l_ratio(series: SeriesDef, sums: PartialSums, m: int, n: int) -> HPComplex:
     """Operator path: Delta^{mp}(w_nu s_nu) / Delta^{mp}(w_nu) at nu = n."""
     if m == 0:
         return sums.s[n]
-    w = _operator_weights(series, m, n)
-    num = _forward_diff([w[j] * sums.s[n + j] for j in range(len(w))])
-    den = _forward_diff(w)
     prec = series.precision.working
     with mp.workdps(prec):
+        w = _operator_weights(series, m, n)
+        num = _forward_diff([w[j] * sums.s[n + j].value for j in range(len(w))])
+        den = _forward_diff(w)
         scale = max(abs(v) for v in w) * len(w)
-        if abs(den) < mp.mpf(10) ** (4 - prec) * scale:
+        if abs(den) < _degenerate_threshold(prec) * scale:
             raise DegenerateDenominatorError(
                 f"difference denominator negligible at (n={n}, m={m})"
             )
-    return num / den
+        return HPComplex.from_mpc(num / den, prec)
 
 
 def p_apply_3f2(series: SeriesDef, z: Sequence, m: int, n: int) -> HPComplex:
@@ -292,18 +331,30 @@ def q_table(series: SeriesDef, budget: int, max_m: int,
                         continue
                 table.cells[(n, m)] = N[n] / D[n]
         return table
-    evaluate = {
-        TablePath.DIRECT: q_direct,
-        TablePath.REMAINDER: q_remainder_form,
-        TablePath.OPERATOR: l_ratio,
-    }[path]
-    for m in range(1, max_m + 1):
-        for n in range(1, budget - m * p + 1):
-            try:
-                table.cells[(n, m)] = evaluate(series, sums, m, n)
-            except DegenerateDenominatorError:
-                table.cells[(n, m)] = None
-                table.flagged.add((n, m))
+    prec = series.precision.working
+    with mp.workdps(prec):
+        if path is TablePath.OPERATOR:
+            def evaluate(m, n):
+                return l_ratio(series, sums, m, n)
+        else:
+            s = [v.value for v in sums.s]
+            a = [v.value for v in sums.a]
+            raw = _raw_params(series)
+            threshold = _degenerate_threshold(prec)
+
+            def evaluate(m, n):
+                width = m * p
+                value = _cell_value(raw, m, n, s[n:n + width + 1],
+                                    a[n:n + width], path, threshold)
+                return HPComplex.from_mpc(value, prec)
+
+        for m in range(1, max_m + 1):
+            for n in range(1, budget - m * p + 1):
+                try:
+                    table.cells[(n, m)] = evaluate(m, n)
+                except DegenerateDenominatorError:
+                    table.cells[(n, m)] = None
+                    table.flagged.add((n, m))
     return table
 
 
@@ -321,13 +372,15 @@ def annihilation_residual(series: SeriesDef, m: int, n: int) -> float:
         raise ValueError("m must be >= 1")
     p = series.p
     sums = partial_sums(series, n + m * p + m)
-    w = _operator_weights(series, m, n)
     prec = series.precision.working
     with mp.workdps(prec):
+        w = _operator_weights(series, m, n)
+        a = [v.value for v in sums.a]
+
         def window(nu):
-            total = sums.a[nu]
+            total = a[nu]
             for k in range(1, m):
-                total = total + sums.a[nu + k]
+                total = total + a[nu + k]
             return total
 
         samples = [w[j] * window(n + j) for j in range(len(w))]

@@ -59,9 +59,17 @@ def table_csv(cells: dict, budget: int, max_m: int, p: int, content: str,
     return "\n".join(lines) + "\n"
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def table_json(cells: dict, meta: dict, limit: Optional[HPComplex],
                cfg: PrecisionConfig, conditions: Optional[dict] = None,
                digits: int = 32) -> str:
+    """One compact JSON document {"meta": ..., "cells": [...]}.
+
+    Each cell is encoded as soon as it is built, so only the finished
+    text of the cells is held at once, not every cell's dict.
+    """
     out_cells = []
     for (n, m) in sorted(cells):
         value = cells[(n, m)]
@@ -77,8 +85,8 @@ def table_json(cells: dict, meta: dict, limit: Optional[HPComplex],
                     entry["ratio"] = float(abs(value - limit) / abs(base - limit))
         if conditions and (n, m) in conditions:
             entry["condition"] = format_number(conditions[(n, m)], digits)
-        out_cells.append(entry)
-    return json.dumps({"meta": meta, "cells": out_cells}, indent=2) + "\n"
+        out_cells.append(_encode(entry))
+    return f'{{"meta":{_encode(meta)},"cells":[{",".join(out_cells)}]}}\n'
 
 
 def table_text(cells: dict, budget: int, max_m: int, p: int, content: str,

@@ -175,7 +175,12 @@ def term(series: SeriesDef, n: int) -> HPComplex:
 
 
 def partial_sums(series: SeriesDef, N: int) -> PartialSums:
-    """s_0..s_N by running accumulation, terms a_0..a_{N-1} cached."""
+    """s_0..s_N by running accumulation, terms a_0..a_{N-1} cached.
+
+    An s_n within the rounding bound n * 10^(1-working) * sum_{k<n} |a_k|
+    of zero is stored as an exact 0: the terms cancel completely, and the
+    rounding residue would otherwise print as false digits.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
     prec = series.precision.working
@@ -183,10 +188,16 @@ def partial_sums(series: SeriesDef, N: int) -> PartialSums:
         av = [g.value for g in series.alpha]
         bv = [g.value for g in series.beta]
         xv = series.x.value
+        rounding = mp.mpf(10) ** (1 - prec)
         s = [mp.mpc(0)]
         a = [mp.mpc(1)]
+        magnitude = mp.mpf(0)
         for n in range(N):
-            s.append(s[-1] + a[-1])
+            magnitude += abs(a[-1])
+            total = s[-1] + a[-1]
+            if abs(total) <= (n + 1) * rounding * magnitude:
+                total = mp.mpc(0)
+            s.append(total)
             nxt = a[-1] * xv
             for g in av:
                 nxt *= g + n

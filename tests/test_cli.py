@@ -79,6 +79,15 @@ class TestTable:
                      "1.3750000000", "1.3207256213"):
             assert cell in out
 
+    def test_cancelled_partial_sum_prints_zero(self, capsys):
+        # s_2 = a_0 + a_1 = 1 - 1 vanishes exactly for this series
+        code, out, _ = run(capsys, "table", "--alpha=16/7,7/3,5/3",
+                           "--beta=8/3,5/3,2/3", "--x=-1/3", "--budget=15",
+                           "--max-m=4", "--path=operator")
+        assert code == 0
+        row = out.splitlines()[2].split()
+        assert row[0] == "2" and row[1] == "0"
+
     def test_csv_triangle_shape(self, capsys):
         code, out, _ = run(capsys, "table", "--preset", "ex1",
                            "--budget", "15", "--max-m", "7", "--format", "csv")

@@ -107,6 +107,59 @@ class TestLambdaWeights:
                 )
 
 
+class TestWeightKernel:
+    def test_deep_weights_match_exact(self, ex1, ex2):
+        cases = (
+            (ex1[0], [Fraction(3), Fraction(-1, 2)], [Fraction(4), Fraction(1)],
+             Fraction(-1), 20, 1),
+            (ex2[0], [Fraction(1, 6), Fraction(1, 3)], [Fraction(1, 2), Fraction(1)],
+             Fraction(25, 27), 20, 3),
+        )
+        for series, alpha, beta, x, m, n in cases:
+            exact = lambda_weights_exact(alpha, beta, x, m, n)
+            w = lambda_weights(series, m, n)
+            with mp.workdps(P + 40):
+                ev = [mp.mpf(v.numerator) / v.denominator for v in exact]
+                worst = max(abs(w.lam[j].value - ev[j]) for j in range(len(ev)))
+                assert worst <= 1e-40 * max(abs(v) for v in ev)
+
+    def test_terminating_alpha_zeros_stay_exact(self):
+        alpha = [Fraction(-3), Fraction(1, 2)]
+        beta = [Fraction(2), Fraction(3, 2)]
+        s = SeriesDef((hp("-3"), hp("1/2")), (hp("2"), hp("3/2")), hp("1/2"), CFG)
+        for n in (0, 1, 2, 3, 4):
+            exact = lambda_weights_exact(alpha, beta, Fraction(1, 2), 5, n)
+            w = lambda_weights(s, 5, n)
+            zeros = [j for j, v in enumerate(exact) if v == 0]
+            assert [j for j, v in enumerate(w.lam) if v.is_zero()] == zeros
+            # (a+n+j)_{mp-j} holds the factor -3 + 3 = 0 exactly for n+j <= 3
+            assert zeros == list(range(4 - n))
+
+    def test_x_zero_leaves_only_last_weight(self, ex1):
+        series, _ = ex1
+        frozen = SeriesDef(series.alpha, series.beta, hp("0"), CFG)
+        w = lambda_weights(frozen, 3, 2)
+        assert all(v.is_zero() for v in w.lam[:-1])
+        assert w.M[0] == w.lam[-1]
+
+    def test_q_direct_equals_table_cell(self, ex3):
+        series, _ = ex3
+        budget, max_m = 21, 8
+        table = q_table(series, budget, max_m, TablePath.DIRECT)
+        sums = partial_sums(series, budget)
+        for m, n in ((1, 1), (4, 5), (8, 1), (8, 5)):
+            assert q_direct(series, sums, m, n) == table.get(n, m)
+
+    def test_paths_agree_ex1_deep(self, ex1):
+        series, _ = ex1
+        tables = [q_table(series, 41, 20, path) for path in
+                  (TablePath.DIRECT, TablePath.REMAINDER, TablePath.RECURSION3F2)]
+        assert not any(t.flagged for t in tables)
+        for key, value in tables[0].cells.items():
+            for other in tables[1:]:
+                assert relative_error(value, other.cells[key]) < 1e-30
+
+
 class TestEvaluationPaths:
     def test_m0_is_partial_sum(self, ex1):
         series, _ = ex1

@@ -120,6 +120,22 @@ class TestPartialSums:
                 scale = max(abs(sums.s[n + 1]), mp.mpf(1))
                 assert abs(d - sums.a[n]) <= tol * scale
 
+    def test_complete_cancellation_is_exact_zero(self):
+        # a_1 = -1/3 * (16/7 * 7/3 * 5/3) / (8/3 * 5/3 * 2/3) = -1 exactly
+        s = SeriesDef((hp("16/7"), hp("7/3"), hp("5/3")),
+                      (hp("8/3"), hp("5/3"), hp("2/3")), hp("-1/3"), CFG)
+        sums = partial_sums(s, 6)
+        assert sums.s[2].is_zero()
+        assert sums.s[3] == sums.a[2]
+
+    def test_tiny_nonzero_sum_kept(self):
+        # s_2 = 1 + x = 1e-30 lies far above the rounding bound; only the
+        # rounding of x itself (1e-42 absolute) remains in it
+        s = SeriesDef((hp("1"),), (hp("1"),), hp("-0.999999999999999999999999999999"),
+                      CFG)
+        sums = partial_sums(s, 3)
+        assert relative_error(sums.s[2], hp("1e-30")) < 1e-11
+
     def test_terms_match_direct(self, ex3):
         series, _ = ex3
         sums = partial_sums(series, 20)
