@@ -20,8 +20,6 @@ from .series import (
     ConvergenceKind,
     PartialSums,
     to_unit_form,
-    poch_product,
-    term,
     partial_sums,
     classify,
     term_ratio,

@@ -42,7 +42,6 @@ class LevinVariant(enum.Enum):
 @dataclass(frozen=True)
 class LevinSpec:
     variant: LevinVariant = LevinVariant.T
-    shift: float = 1.0
 
 
 def epsilon_table(sums: PartialSums, max_even: int) -> EpsilonTable:
@@ -99,7 +98,7 @@ def _omega(sums: PartialSums, spec: LevinSpec, n: int) -> HPComplex:
 def levin(sums: PartialSums, spec: LevinSpec, m: int, n: int) -> HPComplex:
     """Classic Levin quotient of order m at base index n.
 
-    Weights (-1)^j C(m, j) (n+j+shift)^{m-1} / omega_{n+j} applied to
+    Weights (-1)^j C(m, j) (n+j+1)^{m-1} / omega_{n+j} applied to
     s_{n+j} over the same weights applied to 1.
     """
     if m == 0:
@@ -109,7 +108,7 @@ def levin(sums: PartialSums, spec: LevinSpec, m: int, n: int) -> HPComplex:
     den = HPComplex(0, 0, prec)
     with mp.workdps(prec):
         for j in range(m + 1):
-            base = HPComplex(n + j + spec.shift, 0, prec) ** (m - 1)
+            base = HPComplex(n + j + 1, 0, prec) ** (m - 1)
             w = (HPComplex((-1) ** j * math.comb(m, j), 0, prec) * base
                  / _omega(sums, spec, n + j))
             num = num + w * sums.s[n + j]

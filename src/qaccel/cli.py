@@ -33,6 +33,10 @@ from . import report
 
 METHODS = ("q", "epsilon", "levin-t", "levin-u", "levin-d", "levin-v", "aitken")
 
+# --format -> report emitter, looked up by name at each call, so that a
+# wrapper bound over the report function (the per-layer trace) sees it
+_EMITTERS = {"csv": "table_csv", "text": "table_text"}
+
 
 class UsageError(Exception):
     pass
@@ -119,15 +123,14 @@ def cmd_table(args, out) -> int:
     series, ref = _resolve_series(args)
     _require_limit(args, ref)
     table = q_table(series, args.budget, args.max_m, _q_path(args, series))
-    emit = {"csv": report.table_csv, "text": report.table_text}
     if args.fmt == "json":
         meta = _meta(args, series)
         out.write(report.table_json(table.cells, meta, ref, series.precision,
                                     digits=args.digits))
     else:
-        out.write(emit[args.fmt](table.cells, args.budget, args.max_m, series.p,
-                                 args.content, ref, series.precision,
-                                 digits=args.digits))
+        emit = getattr(report, _EMITTERS[args.fmt])
+        out.write(emit(table.cells, args.budget, args.max_m, series.p,
+                       args.content, ref, series.precision, digits=args.digits))
     return 1 if (args.strict and table.flagged) else 0
 
 
@@ -208,9 +211,9 @@ def cmd_compare(args, out) -> int:
             sections.append(report.table_json(cells, meta, ref, series.precision,
                                               digits=args.digits))
         else:
-            emit = {"csv": report.table_csv, "text": report.table_text}[args.fmt]
-            body = emit(cells, args.budget, args.max_m, series.p, args.content,
-                        ref, series.precision, digits=args.digits, stencil=step)
+            emit = getattr(report, _EMITTERS[args.fmt])
+            body = emit(cells, args.budget, args.max_m, step, args.content,
+                        ref, series.precision, digits=args.digits)
             sections.append(f"# method={method}\n{body}")
     out.write("\n".join(sections))
     return 0
@@ -265,7 +268,7 @@ def cmd_diagnose(args, out) -> int:
     for text in lines:
         out.write(text + "\n")
     out.write("acceleration condition (values should approach 1):\n")
-    emit = {"csv": report.table_csv, "text": report.table_text}[args.fmt]
+    emit = getattr(report, _EMITTERS[args.fmt])
     out.write(emit(conditions, budget, args.max_m, series.p,
                    "condition", ref, series.precision, conditions=conditions,
                    digits=args.digits))

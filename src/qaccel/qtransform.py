@@ -12,11 +12,12 @@ suite: the weight quotient (canonical), the remainder form of the weights'
 partial tails, the explicit weighted forward-difference quotient, and (for
 p = 2) the recursive operator scheme.
 
-The first two share one weight kernel, ``_weights``.  It builds every
-lambda_j of a cell from a suffix product over the alpha factors and a
-prefix product over the beta factors, on raw mpmath values under one
-precision context: O(mp*p) multiplications per cell, no division, so exact
-zeros (terminating alpha, x = 0) stay exact.
+All four draw their coefficients from the per-index factors
+x prod_a (a+k) and prod_b (b+k) of the term ratio (``series._factors``), on
+raw mpmath values under one precision context, boxed only at the API edge.
+The weights of the first three are suffix times prefix products of those
+factors (``_suffix_prefix``): O(mp*p) multiplications per cell and no
+division, so exact zeros (terminating alpha, x = 0) stay exact.
 
 The exact-rational twins at the bottom re-derive the weights independently
 with Fraction arithmetic for the coefficient and degree identities.
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 from mpmath import mp
 
 from .numerics import HPComplex
-from .series import SeriesDef, PartialSums, partial_sums
+from .series import SeriesDef, PartialSums, _factors, _raw_params, partial_sums
 
 
 class DegenerateDenominatorError(ArithmeticError):
@@ -103,47 +104,52 @@ class QTable:
 
 # -- the weight kernel: raw mpc values, called under the caller's workdps --
 
-def _raw_params(series: SeriesDef):
-    """(alpha, beta, -x) unboxed once, for any number of kernel calls."""
-    return ([g.value for g in series.alpha], [g.value for g in series.beta],
-            -series.x.value)
+def _suffix_prefix(raw, lead, m: int, n: int):
+    """Suffix products prod_{i>=j} fa[i] and prefix products prod_{i<j} fb[i],
+    j = 0..mp, with fa[i] = lead * prod_a (a+n+i), fb[i] = prod_b (b+n+m-1+i).
 
-
-def _factors(params, lo: int, hi: int, lead=1) -> list:
-    """[lead * prod_g (g + k) for k = lo..hi-1]."""
-    out = []
-    for k in range(lo, hi):
-        v = lead
-        for g in params:
-            v = v * (g + k)
-        out.append(v)
-    return out
-
-
-def _weights(raw, m: int, n: int):
-    """lambda_j and tails M_k (j, k = 0..mp) of cell (n, m).
-
-    lambda_j = C(mp, j) * prod_{i>=j} fa[i] * prod_{i<j} fb[i] with
-    fa[i] = (-x) prod_a (a+n+i) and fb[i] = prod_b (b+n+m-1+i): a suffix
-    and a prefix product, O(mp*p) multiplications and no division.
+    Every weight of cell (n, m) is one suffix times one prefix: O(mp*p)
+    multiplications and no division, so exact zeros (terminating alpha,
+    x = 0) stay exact.
     """
-    av, bv, neg_x = raw
+    av, bv, _ = raw
     width = m * len(av)
-    fa = _factors(av, n, n + width, neg_x)
+    fa = _factors(av, n, n + width, lead)
     fb = _factors(bv, n + m - 1, n + m - 1 + width)
     suffix = [1] * (width + 1)
     for j in range(width - 1, -1, -1):
         suffix[j] = fa[j] * suffix[j + 1]
-    lam = []
-    prefix = 1
-    for j in range(width + 1):
-        lam.append(math.comb(width, j) * suffix[j] * prefix)
-        if j < width:
-            prefix = prefix * fb[j]
+    prefix = [1]
+    for v in fb:
+        prefix.append(prefix[-1] * v)
+    return suffix, prefix
+
+
+def _weights(raw, m: int, n: int):
+    """lambda_j = C(mp, j) * suffix_j * prefix_j with lead -x, and the
+    tails M_k (j, k = 0..mp) of cell (n, m)."""
+    suffix, prefix = _suffix_prefix(raw, -raw[2], m, n)
+    width = len(suffix) - 1
+    lam = [math.comb(width, j) * suffix[j] * prefix[j] for j in range(width + 1)]
     tails = lam[:]
     for j in range(width - 1, -1, -1):
         tails[j] = lam[j] + tails[j + 1]
     return lam, tails
+
+
+def _operator_weights(raw, m: int, n: int) -> list:
+    """w_nu = [beta]_{nu+m-1} / ([alpha]_nu x^nu), nu = n..n+mp, times the
+    common factor [alpha]_{n+mp} x^{n+mp} / [beta]_{n+m-1}, which cancels
+    in the quotient: suffix_j * prefix_j with lead x."""
+    suffix, prefix = _suffix_prefix(raw, raw[2], m, n)
+    return [u * v for u, v in zip(suffix, prefix)]
+
+
+def _forward_diff(samples):
+    out = list(samples)
+    while len(out) > 1:
+        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
+    return out[0]
 
 
 def _degenerate_threshold(prec: int):
@@ -152,9 +158,21 @@ def _degenerate_threshold(prec: int):
 
 def _cell_value(raw, m: int, n: int, s_window, a_window, path: TablePath,
                 threshold):
-    """Q^(m)_n on the DIRECT or REMAINDER path, from s_n..s_{n+mp} and
-    a_n..a_{n+mp-1}; raises DegenerateDenominatorError when
-    |M_0| < threshold * max|lambda_j| * (mp+1)."""
+    """Q^(m)_n on the DIRECT, REMAINDER or OPERATOR path, from
+    s_n..s_{n+mp} and a_n..a_{n+mp-1}.
+
+    Raises DegenerateDenominatorError when the denominator (M_0, or
+    Delta^{mp} w on the operator path) is below threshold * (mp+1) times
+    the largest weight.
+    """
+    if path is TablePath.OPERATOR:
+        w = _operator_weights(raw, m, n)
+        den = _forward_diff(w)
+        if abs(den) < threshold * max(abs(v) for v in w) * len(w):
+            raise DegenerateDenominatorError(
+                f"difference denominator negligible at (n={n}, m={m})"
+            )
+        return _forward_diff([u * v for u, v in zip(w, s_window)]) / den
     lam, tails = _weights(raw, m, n)
     if abs(tails[0]) < threshold * max(abs(v) for v in lam) * len(lam):
         raise DegenerateDenominatorError(
@@ -163,6 +181,22 @@ def _cell_value(raw, m: int, n: int, s_window, a_window, path: TablePath,
     if path is TablePath.DIRECT:
         return mp.fdot(lam, s_window) / tails[0]
     return s_window[0] + mp.fdot(tails[1:], a_window) / tails[0]
+
+
+def _p_coeffs(fa, fb, m: int, n: int):
+    """Coefficients of z_n, z_{n+1}, z_{n+2} in the p = 2 operator P^(m) at
+    n, from factor tables that start at index 0 and have lead x."""
+    k = n + 2 * m - 2
+    return (fa[k] * fa[k + 1],
+            -2 * fa[k + 1] * (fb[k] - m * (m - 1)),
+            fb[n + m - 1] * fb[n + 3 * m - 2])
+
+
+def _p_step(coeffs, z) -> list:
+    """P^(m) z at n = 1..len(coeffs) from the coefficient triples of those
+    n; index 0 is a placeholder, so the result indexes like z."""
+    return [0] + [c0 * z[n] + c1 * z[n + 1] + c2 * z[n + 2]
+                  for n, (c0, c1, c2) in enumerate(coeffs, 1)]
 
 
 def lambda_weights(series: SeriesDef, m: int, n: int) -> LambdaWeights:
@@ -207,101 +241,28 @@ def q_remainder_form(series: SeriesDef, sums: PartialSums, m: int, n: int) -> HP
     return _single_cell(series, sums, m, n, TablePath.REMAINDER)
 
 
-def _operator_weights(series: SeriesDef, m: int, n: int) -> list:
-    """Window of w_nu = [beta]_{nu+m-1} / ([alpha]_nu x^nu), rescaled.
-
-    Raw mpc values, called under the caller's workdps.  The two Pochhammer
-    products run across the window: O((n+m)p) to start, then O(p) per nu.
-    The common rescaling keeps magnitudes tame; it cancels in the quotient.
-    """
-    av = [g.value for g in series.alpha]
-    bv = [g.value for g in series.beta]
-    xv = series.x.value
-    num = mp.mpc(1)                    # [beta]_{nu+m-1}
-    for k in range(n + m - 1):
-        for b in bv:
-            num = num * (b + k)
-    den = mp.mpc(1)                    # [alpha]_nu x^nu
-    for k in range(n):
-        den = den * xv
-        for a in av:
-            den = den * (a + k)
-    vals = []
-    for nu in range(n, n + m * series.p + 1):
-        vals.append(num / den)
-        for b in bv:
-            num = num * (b + (nu + m - 1))
-        den = den * xv
-        for a in av:
-            den = den * (a + nu)
-    scale = max(abs(v) for v in vals)
-    if scale == 0:
-        raise DegenerateDenominatorError("operator weights vanish")
-    return [v / scale for v in vals]
-
-
-def _forward_diff(samples):
-    out = list(samples)
-    while len(out) > 1:
-        out = [out[i + 1] - out[i] for i in range(len(out) - 1)]
-    return out[0]
-
-
 def l_ratio(series: SeriesDef, sums: PartialSums, m: int, n: int) -> HPComplex:
     """Operator path: Delta^{mp}(w_nu s_nu) / Delta^{mp}(w_nu) at nu = n."""
-    if m == 0:
-        return sums.s[n]
-    prec = series.precision.working
-    with mp.workdps(prec):
-        w = _operator_weights(series, m, n)
-        num = _forward_diff([w[j] * sums.s[n + j].value for j in range(len(w))])
-        den = _forward_diff(w)
-        scale = max(abs(v) for v in w) * len(w)
-        if abs(den) < _degenerate_threshold(prec) * scale:
-            raise DegenerateDenominatorError(
-                f"difference denominator negligible at (n={n}, m={m})"
-            )
-        return HPComplex.from_mpc(num / den, prec)
+    return _single_cell(series, sums, m, n, TablePath.OPERATOR)
 
 
 def p_apply_3f2(series: SeriesDef, z: Sequence, m: int, n: int) -> HPComplex:
     """One application of the specialized p=2 operator P^(m) at index n.
 
-    ``z`` must support indexing at n, n+1, n+2.  Combined coefficients:
-    the z_n term carries x^2 and two length-2 rising factorials in the
-    alpha parameters, the z_{n+1} term -2x and the mixed product, the
-    z_{n+2} term the four shifted beta factors.
+    ``z`` must support indexing at n, n+1, n+2.  With k = n+2m-2 and the
+    factors fa[k] = x prod_a (a+k), fb[k] = prod_b (b+k), the z_n term
+    carries fa[k] fa[k+1], the z_{n+1} term -2 fa[k+1] (fb[k] - m(m-1)),
+    the z_{n+2} term fb[n+m-1] fb[n+3m-2].
     """
     if series.p != 2:
         raise UnsupportedShapeError("the specialized operator requires p = 2")
-    a1, a2 = series.alpha
-    b1, b2 = series.beta
-    x = series.x
-    c0 = (x ** 2
-          * (a1 + (n + 2 * m - 2)) * (a1 + (n + 2 * m - 1))
-          * (a2 + (n + 2 * m - 2)) * (a2 + (n + 2 * m - 1)))
-    c1 = (HPComplex(-2, 0, x.precision) * x
-          * (a1 + (n + 2 * m - 1)) * (a2 + (n + 2 * m - 1))
-          * ((b1 + (n + 2 * m - 2)) * (b2 + (n + 2 * m - 2)) - (m * m - m)))
-    c2 = ((b1 + (n + m - 1)) * (b2 + (n + m - 1))
-          * (b1 + (n + 3 * m - 2)) * (b2 + (n + 3 * m - 2)))
-    return c0 * z[n] + c1 * z[n + 1] + c2 * z[n + 2]
-
-
-def _recursion_3f2(series: SeriesDef, sums: PartialSums, budget: int, max_m: int):
-    """Numerator/denominator columns N^(m), D^(m) per the recursive scheme."""
     prec = series.precision.working
-    one = HPComplex(1, 0, prec)
-    N = {n: sums.s[n] for n in range(1, budget + 1)}
-    D = {n: one for n in range(1, budget + 1)}
-    columns = {}
-    for m in range(1, max_m + 1):
-        N = {n: p_apply_3f2(series, N, m, n)
-             for n in range(1, budget - 2 * m + 1)}
-        D = {n: p_apply_3f2(series, D, m, n)
-             for n in range(1, budget - 2 * m + 1)}
-        columns[m] = (N, D)
-    return columns
+    with mp.workdps(prec):
+        av, bv, xv = _raw_params(series)
+        top = n + 3 * m - 1
+        c0, c1, c2 = _p_coeffs(_factors(av, 0, top, xv), _factors(bv, 0, top), m, n)
+        return HPComplex.from_mpc(
+            c0 * z[n].value + c1 * z[n + 1].value + c2 * z[n + 2].value, prec)
 
 
 def q_table(series: SeriesDef, budget: int, max_m: int,
@@ -309,6 +270,8 @@ def q_table(series: SeriesDef, budget: int, max_m: int,
     """All cells (n, m) with 1 <= n, 0 <= m <= max_m, n + mp <= budget.
 
     Degenerate denominators flag the cell instead of aborting the table.
+    RECURSION3F2 builds the numerator and denominator columns N^(m), D^(m)
+    by repeated application of P^(m); a D that is exactly 0 is degenerate.
     """
     p = series.p
     if budget < 1 + p * max_m:
@@ -319,39 +282,33 @@ def q_table(series: SeriesDef, budget: int, max_m: int,
     table = QTable(series=series, budget=budget, max_m=max_m, path=path)
     for n in range(1, budget + 1):
         table.cells[(n, 0)] = sums.s[n]
-    if path is TablePath.RECURSION3F2:
-        columns = _recursion_3f2(series, sums, budget, max_m)
-        prec = series.precision.working
-        for m, (N, D) in columns.items():
-            for n in N:
-                with mp.workdps(prec):
-                    if abs(D[n]) == 0:
-                        table.cells[(n, m)] = None
-                        table.flagged.add((n, m))
-                        continue
-                table.cells[(n, m)] = N[n] / D[n]
-        return table
     prec = series.precision.working
     with mp.workdps(prec):
-        if path is TablePath.OPERATOR:
-            def evaluate(m, n):
-                return l_ratio(series, sums, m, n)
-        else:
-            s = [v.value for v in sums.s]
-            a = [v.value for v in sums.a]
-            raw = _raw_params(series)
-            threshold = _degenerate_threshold(prec)
-
-            def evaluate(m, n):
-                width = m * p
-                value = _cell_value(raw, m, n, s[n:n + width + 1],
-                                    a[n:n + width], path, threshold)
-                return HPComplex.from_mpc(value, prec)
-
+        raw = _raw_params(series)
+        s = [v.value for v in sums.s]
+        a = [v.value for v in sums.a]
+        threshold = _degenerate_threshold(prec)
+        if path is TablePath.RECURSION3F2:
+            av, bv, xv = raw
+            fa = _factors(av, 0, budget + max_m, xv)
+            fb = _factors(bv, 0, budget + max_m)
+            N, D = s, [1] * len(s)
         for m in range(1, max_m + 1):
-            for n in range(1, budget - m * p + 1):
+            width = m * p
+            rows = range(1, budget - width + 1)
+            if path is TablePath.RECURSION3F2:
+                coeffs = [_p_coeffs(fa, fb, m, n) for n in rows]
+                N, D = _p_step(coeffs, N), _p_step(coeffs, D)
+            for n in rows:
                 try:
-                    table.cells[(n, m)] = evaluate(m, n)
+                    if path is not TablePath.RECURSION3F2:
+                        value = _cell_value(raw, m, n, s[n:n + width + 1],
+                                            a[n:n + width], path, threshold)
+                    elif D[n] == 0:
+                        raise DegenerateDenominatorError(f"D^({m})_{n} = 0")
+                    else:
+                        value = N[n] / D[n]
+                    table.cells[(n, m)] = HPComplex.from_mpc(value, prec)
                 except DegenerateDenominatorError:
                     table.cells[(n, m)] = None
                     table.flagged.add((n, m))
@@ -374,7 +331,7 @@ def annihilation_residual(series: SeriesDef, m: int, n: int) -> float:
     sums = partial_sums(series, n + m * p + m)
     prec = series.precision.working
     with mp.workdps(prec):
-        w = _operator_weights(series, m, n)
+        w = _operator_weights(_raw_params(series), m, n)
         a = [v.value for v in sums.a]
 
         def window(nu):

@@ -38,24 +38,26 @@ def _cell_text(content: str, value: Optional[HPComplex], base: Optional[HPComple
     raise ValueError(f"unknown content {content!r}")
 
 
-def table_csv(cells: dict, budget: int, max_m: int, p: int, content: str,
-              limit: Optional[HPComplex], cfg: PrecisionConfig,
-              conditions: Optional[dict] = None, digits: int = 32,
-              stencil: int = None) -> str:
-    """Rows n, columns m0..m{max_m}; absent cells are empty strings."""
-    step = p if stencil is None else stencil
-    header = "n," + ",".join(f"m{m}" for m in range(max_m + 1))
-    lines = [header]
+def _rows(cells: dict, budget: int, max_m: int, step: int, content: str,
+          limit: Optional[HPComplex], cfg: PrecisionConfig,
+          conditions: Optional[dict], digits: int):
+    """(n, cell texts) per row n = 1..budget; row n holds the columns m
+    with n + m * step <= budget, where step is the method's stencil width."""
     for n in range(1, budget + 1):
-        row = [str(n)]
-        for m in range(max_m + 1):
-            if n + m * step > budget:
-                break
-            value = cells.get((n, m))
-            base = cells.get((n, 0))
-            cond = conditions.get((n, m)) if conditions else None
-            row.append(_cell_text(content, value, base, limit, cfg, cond, digits))
-        lines.append(",".join(row))
+        base = cells.get((n, 0))
+        yield n, [_cell_text(content, cells.get((n, m)), base, limit, cfg,
+                             conditions.get((n, m)) if conditions else None, digits)
+                  for m in range(max_m + 1) if n + m * step <= budget]
+
+
+def table_csv(cells: dict, budget: int, max_m: int, step: int, content: str,
+              limit: Optional[HPComplex], cfg: PrecisionConfig,
+              conditions: Optional[dict] = None, digits: int = 32) -> str:
+    """Rows n, columns m0..m{max_m}; absent cells are empty strings."""
+    lines = ["n," + ",".join(f"m{m}" for m in range(max_m + 1))]
+    for n, entries in _rows(cells, budget, max_m, step, content, limit, cfg,
+                            conditions, digits):
+        lines.append(",".join([str(n)] + entries))
     return "\n".join(lines) + "\n"
 
 
@@ -89,25 +91,13 @@ def table_json(cells: dict, meta: dict, limit: Optional[HPComplex],
     return f'{{"meta":{_encode(meta)},"cells":[{",".join(out_cells)}]}}\n'
 
 
-def table_text(cells: dict, budget: int, max_m: int, p: int, content: str,
+def table_text(cells: dict, budget: int, max_m: int, step: int, content: str,
                limit: Optional[HPComplex], cfg: PrecisionConfig,
-               conditions: Optional[dict] = None, digits: int = 32,
-               stencil: int = None) -> str:
+               conditions: Optional[dict] = None, digits: int = 32) -> str:
     """Paper-style aligned triangle, one row per n."""
-    step = p if stencil is None else stencil
-    rows = []
-    for n in range(1, budget + 1):
-        entries = []
-        for m in range(max_m + 1):
-            if n + m * step > budget:
-                break
-            value = cells.get((n, m))
-            base = cells.get((n, 0))
-            cond = conditions.get((n, m)) if conditions else None
-            entries.append(
-                _cell_text(content, value, base, limit, cfg, cond, digits) or "-"
-            )
-        rows.append((n, entries))
+    rows = [(n, [e or "-" for e in entries])
+            for n, entries in _rows(cells, budget, max_m, step, content, limit,
+                                    cfg, conditions, digits)]
     width = max((len(e) for _, row in rows for e in row), default=1)
     lines = ["n\\m  " + "  ".join(f"{('m%d' % m):>{width}}" for m in range(max_m + 1))]
     for n, entries in rows:

@@ -140,38 +140,27 @@ def to_unit_form(upper: Sequence, lower: Sequence,
     return SeriesDef(tuple(upper), tuple(lower) + (one,), _as_hp(x, config), config)
 
 
-def poch_product(gamma: Sequence[HPComplex], n: int) -> HPComplex:
-    """prod_j (gamma_j)_n, with the empty product (n=0) equal to 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    gamma = list(gamma)
-    prec = max([g.precision for g in gamma], default=DEFAULT_PRECISION.working)
-    with mp.workdps(prec):
-        out = HPComplex(1, 0, prec)
-        for g in gamma:
-            for k in range(n):
-                out = out * (g + k)
+def _raw_params(series: SeriesDef):
+    """(alpha, beta, x) as raw mpc values; call under the series' workdps,
+    or x is rounded to the ambient precision."""
+    return ([g.value for g in series.alpha], [g.value for g in series.beta],
+            series.x.value)
+
+
+def _factors(params, lo: int, hi: int, lead=1) -> list:
+    """[lead * prod_g (g + k) for k = lo..hi-1] on raw values.
+
+    The one generator of the per-index factors of the term ratio
+    a_{k+1}/a_k = fa[k]/fb[k], with fa[k] = x prod_a (a+k) and
+    fb[k] = prod_b (b+k); every Q path builds its coefficients from them.
+    """
+    out = []
+    for k in range(lo, hi):
+        v = lead
+        for g in params:
+            v = v * (g + k)
+        out.append(v)
     return out
-
-
-def _ratio_at(series: SeriesDef, n: int) -> HPComplex:
-    num = HPComplex(1, 0, series.precision.working)
-    den = HPComplex(1, 0, series.precision.working)
-    for a in series.alpha:
-        num = num * (a + n)
-    for b in series.beta:
-        den = den * (b + n)
-    return series.x * num / den
-
-
-def term(series: SeriesDef, n: int) -> HPComplex:
-    """a_n, built up by the incremental ratio recurrence from a_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    a = HPComplex(1, 0, series.precision.working)
-    for k in range(n):
-        a = a * _ratio_at(series, k)
-    return a
 
 
 def partial_sums(series: SeriesDef, N: int) -> PartialSums:
@@ -185,9 +174,7 @@ def partial_sums(series: SeriesDef, N: int) -> PartialSums:
         raise ValueError("N must be >= 1")
     prec = series.precision.working
     with mp.workdps(prec):
-        av = [g.value for g in series.alpha]
-        bv = [g.value for g in series.beta]
-        xv = series.x.value
+        av, bv, xv = _raw_params(series)
         rounding = mp.mpf(10) ** (1 - prec)
         s = [mp.mpc(0)]
         a = [mp.mpc(1)]
@@ -219,7 +206,12 @@ def term_ratio(series: SeriesDef, n: int) -> HPComplex:
         cutoff = min(int(-a.re) for a in series.alpha if a.is_nonpositive_integer())
         if n > cutoff:
             raise ValueError(f"a_{n} = 0 for this terminating series")
-    return _ratio_at(series, n)
+    prec = series.precision.working
+    with mp.workdps(prec):
+        av, bv, xv = _raw_params(series)
+        num, = _factors(av, n, n + 1, xv)
+        den, = _factors(bv, n, n + 1)
+        return HPComplex.from_mpc(num / den, prec)
 
 
 def classify(series: SeriesDef) -> ConvergenceClass:

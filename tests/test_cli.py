@@ -88,6 +88,18 @@ class TestTable:
         row = out.splitlines()[2].split()
         assert row[0] == "2" and row[1] == "0"
 
+    @pytest.mark.parametrize("series", [
+        ("--alpha=-3,1/2", "--beta=2,3/2", "--x=1/2"),
+        ("--alpha=1/2,1/3", "--beta=2,3/2", "--x=0"),
+    ])
+    def test_operator_path_terminating_and_x_zero(self, capsys, series):
+        # some per-index factors are exactly 0 here (terminating alpha,
+        # x = 0); the operator path must still print the direct path's table
+        code, out, _ = run(capsys, "table", *series, "--path=operator")
+        assert code == 0
+        _, direct, _ = run(capsys, "table", *series, "--path=direct")
+        assert out == direct
+
     def test_csv_triangle_shape(self, capsys):
         code, out, _ = run(capsys, "table", "--preset", "ex1",
                            "--budget", "15", "--max-m", "7", "--format", "csv")

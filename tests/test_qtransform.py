@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from qaccel.numerics import HPComplex, PrecisionConfig, parse_number, relative_error
-from qaccel.series import SeriesDef, partial_sums
+from qaccel.series import SeriesDef, _raw_params, partial_sums
 from qaccel.classic import epsilon_table
 from qaccel.qtransform import (
     TablePath,
@@ -23,6 +24,7 @@ from qaccel.qtransform import (
     leading_coeffs_exact,
     lambda_weights_exact,
     lambda_degree_check,
+    _operator_weights,
 )
 
 CFG = PrecisionConfig(digits=32, guard=10)
@@ -118,10 +120,17 @@ class TestWeightKernel:
         for series, alpha, beta, x, m, n in cases:
             exact = lambda_weights_exact(alpha, beta, x, m, n)
             w = lambda_weights(series, m, n)
+            width = m * series.p
+            # the operator weights are lambda_j without C(mp, j) (-1)^{mp-j}
+            with mp.workdps(P):
+                ow = _operator_weights(_raw_params(series), m, n)
+                via_operator = [math.comb(width, j) * (-1) ** (width - j) * ow[j]
+                                for j in range(width + 1)]
             with mp.workdps(P + 40):
                 ev = [mp.mpf(v.numerator) / v.denominator for v in exact]
-                worst = max(abs(w.lam[j].value - ev[j]) for j in range(len(ev)))
-                assert worst <= 1e-40 * max(abs(v) for v in ev)
+                for lam in ([v.value for v in w.lam], via_operator):
+                    worst = max(abs(lam[j] - ev[j]) for j in range(len(ev)))
+                    assert worst <= 1e-40 * max(abs(v) for v in ev)
 
     def test_terminating_alpha_zeros_stay_exact(self):
         alpha = [Fraction(-3), Fraction(1, 2)]
@@ -141,6 +150,22 @@ class TestWeightKernel:
         w = lambda_weights(frozen, 3, 2)
         assert all(v.is_zero() for v in w.lam[:-1])
         assert w.M[0] == w.lam[-1]
+
+    @pytest.mark.parametrize("alpha, beta, x", [
+        (("-3", "1/2"), ("2", "3/2"), "1/2"),
+        (("1/2", "1/3"), ("2", "3/2"), "0"),
+    ])
+    def test_all_paths_match_direct_on_vanishing_factors(self, alpha, beta, x):
+        # a terminating alpha, and x = 0, make some per-index factors
+        # exactly 0; no path may divide by them
+        s = SeriesDef(tuple(map(hp, alpha)), tuple(map(hp, beta)), hp(x), CFG)
+        direct = q_table(s, 15, 7, TablePath.DIRECT)
+        assert not direct.flagged
+        for path in (TablePath.OPERATOR, TablePath.RECURSION3F2):
+            other = q_table(s, 15, 7, path)
+            assert set(other.cells) == set(direct.cells) and not other.flagged
+            for key, value in direct.cells.items():
+                assert relative_error(other.cells[key], value) < TOL
 
     def test_q_direct_equals_table_cell(self, ex3):
         series, _ = ex3

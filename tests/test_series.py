@@ -10,8 +10,6 @@ from qaccel.series import (
     InvalidSeriesError,
     ConvergenceKind,
     to_unit_form,
-    poch_product,
-    term,
     partial_sums,
     classify,
     term_ratio,
@@ -65,7 +63,7 @@ class TestToUnitForm:
                 for k in range(n):
                     expect /= mp.mpf(4) / 3 + k
                 expect *= x ** n / mp.factorial(n)
-                got = term(s, n)
+                got = partial_sums(s, n + 1).a[n]
                 assert abs(got.value - expect) <= abs(expect) * mp.mpf(10) ** (6 - P)
 
     def test_shape_error(self):
@@ -73,34 +71,18 @@ class TestToUnitForm:
             to_unit_form(("1", "2"), ("3", "4"), CFG)
 
 
-class TestPochProduct:
-    def test_empty_product(self):
-        assert poch_product((hp("7"), hp("-2.5")), 0) == HPComplex(1, 0, P)
-
-    def test_direct_product(self):
-        assert poch_product((hp("2"), hp("3")), 2) == HPComplex(72, 0, P)
-
-    def test_half_integer(self):
-        got = poch_product((hp("-1/2"),), 3)
-        assert relative_error(got, hp("-3/8")) < mp.mpf(10) ** (6 - P)
-
-    def test_negative_n(self):
-        with pytest.raises(ValueError):
-            poch_product((hp("1"),), -1)
-
-
 class TestTerms:
     def test_first_term_is_one(self, ex1):
         series, _ = ex1
-        assert term(series, 0) == HPComplex(1, 0, P)
+        assert partial_sums(series, 1).a[0] == HPComplex(1, 0, P)
 
     def test_ex1_second_term(self, ex1):
         series, _ = ex1
-        assert relative_error(term(series, 1), hp("3/8")) < mp.mpf(10) ** (6 - P)
+        assert relative_error(partial_sums(series, 2).a[1], hp("3/8")) < mp.mpf(10) ** (6 - P)
 
     def test_ex2_second_term(self, ex2):
         series, _ = ex2
-        assert relative_error(term(series, 1), hp("25/243")) < mp.mpf(10) ** (6 - P)
+        assert relative_error(partial_sums(series, 2).a[1], hp("25/243")) < mp.mpf(10) ** (6 - P)
 
 
 class TestPartialSums:
@@ -137,10 +119,18 @@ class TestPartialSums:
         assert relative_error(sums.s[2], hp("1e-30")) < 1e-11
 
     def test_terms_match_direct(self, ex3):
+        # oracle: a_n = x^n prod_a rf(a, n) / prod_b rf(b, n), independently
         series, _ = ex3
         sums = partial_sums(series, 20)
-        for n in (0, 1, 5, 19):
-            assert relative_error(sums.a[n], term(series, n)) < mp.mpf(10) ** (6 - P)
+        with mp.workdps(P):
+            for n in (0, 1, 5, 19):
+                expect = series.x.value ** n
+                for g in series.alpha:
+                    expect *= mp.rf(g.value, n)
+                for g in series.beta:
+                    expect /= mp.rf(g.value, n)
+                got = relative_error(sums.a[n], HPComplex.from_mpc(expect, P))
+                assert got < mp.mpf(10) ** (6 - P)
 
 
 class TestClassify:
