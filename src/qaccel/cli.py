@@ -289,8 +289,21 @@ def _meta(args, series: SeriesDef) -> dict:
     }
 
 
+def _join_negative_values(argv) -> list:
+    """`--x -1/3` as `--x=-1/3`, which argparse would read as two flags."""
+    out = []
+    for tok in argv:
+        if (out and out[-1] in ("--alpha", "--beta", "--x", "--limit")
+                and tok.startswith("-") and not tok.startswith("--")):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

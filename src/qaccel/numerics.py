@@ -92,8 +92,8 @@ class HPComplex:
 
     @property
     def value(self):
-        """The underlying mpmath complex value."""
-        return mpc(self.re, self.im)
+        """The underlying mpmath complex value, not rounded to the context."""
+        return mp.make_mpc((self.re._mpf_, self.im._mpf_))
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
@@ -147,15 +147,13 @@ class HPComplex:
             return HPComplex.from_mpc(self.value ** exponent, self.precision)
 
     def __neg__(self):
-        return HPComplex.from_mpc(-self.value, self.precision)
+        with mp.workdps(self.precision):
+            return HPComplex.from_mpc(-self.value, self.precision)
 
     def __abs__(self):
         """Complex modulus, as an mpf at the value's precision."""
         with mp.workdps(self.precision):
             return abs(self.value)
-
-    def conjugate(self) -> "HPComplex":
-        return HPComplex.from_mpc(self.value.conjugate(), self.precision)
 
     def sqrt(self) -> "HPComplex":
         with mp.workdps(self.precision):

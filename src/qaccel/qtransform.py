@@ -12,11 +12,11 @@ suite: the weight quotient (canonical), the remainder form of the weights'
 partial tails, the explicit weighted forward-difference quotient, and (for
 p = 2) the recursive operator scheme.
 
-All four draw their coefficients from the per-index factors
-x prod_a (a+k) and prod_b (b+k) of the term ratio (``series._factors``), on
-raw mpmath values under one precision context, boxed only at the API edge.
-The weights of the first three are suffix times prefix products of those
-factors (``_suffix_prefix``): O(mp*p) multiplications per cell and no
+All four draw their coefficients from one table per call of the factors
+fa[k] = x prod_a (a+k), fb[k] = prod_b (b+k) of the term ratio, on raw
+mpmath values under one precision context, boxed only at the API edge.
+The weights of the first three are suffix times prefix products of slices
+of that table (``_suffix_prefix``): O(mp) multiplications per cell and no
 division, so exact zeros (terminating alpha, x = 0) stay exact.
 
 The exact-rational twins at the bottom re-derive the weights independently
@@ -104,44 +104,48 @@ class QTable:
 
 # -- the weight kernel: raw mpc values, called under the caller's workdps --
 
-def _suffix_prefix(raw, lead, m: int, n: int):
-    """Suffix products prod_{i>=j} fa[i] and prefix products prod_{i<j} fb[i],
-    j = 0..mp, with fa[i] = lead * prod_a (a+n+i), fb[i] = prod_b (b+n+m-1+i).
+def _factor_table(series: SeriesDef, hi: int):
+    """(fa, fb) with fa[k] = x prod_a (a+k), fb[k] = prod_b (b+k), k < hi;
+    cell (n, m) reads k < n + m - 1 + mp."""
+    av, bv, xv = _raw_params(series)
+    return _factors(av, 0, hi, xv), _factors(bv, 0, hi)
 
-    Every weight of cell (n, m) is one suffix times one prefix: O(mp*p)
+
+def _suffix_prefix(tables, m: int, n: int, width: int):
+    """Suffix products prod_{j<=i<width} fa[n+i] and prefix products
+    prod_{i<j} fb[n+m-1+i], j = 0..width, of cell (n, m).
+
+    Every weight of the cell is one suffix times one prefix: O(width)
     multiplications and no division, so exact zeros (terminating alpha,
     x = 0) stay exact.
     """
-    av, bv, _ = raw
-    width = m * len(av)
-    fa = _factors(av, n, n + width, lead)
-    fb = _factors(bv, n + m - 1, n + m - 1 + width)
+    fa, fb = tables
     suffix = [1] * (width + 1)
     for j in range(width - 1, -1, -1):
-        suffix[j] = fa[j] * suffix[j + 1]
+        suffix[j] = fa[n + j] * suffix[j + 1]
     prefix = [1]
-    for v in fb:
-        prefix.append(prefix[-1] * v)
+    for k in range(n + m - 1, n + m - 1 + width):
+        prefix.append(prefix[-1] * fb[k])
     return suffix, prefix
 
 
-def _weights(raw, m: int, n: int):
-    """lambda_j = C(mp, j) * suffix_j * prefix_j with lead -x, and the
-    tails M_k (j, k = 0..mp) of cell (n, m)."""
-    suffix, prefix = _suffix_prefix(raw, -raw[2], m, n)
-    width = len(suffix) - 1
-    lam = [math.comb(width, j) * suffix[j] * prefix[j] for j in range(width + 1)]
+def _weights(tables, m: int, n: int, width: int):
+    """lambda_j = ((-1)^{mp-j} C(mp, j)) * suffix_j * prefix_j (rounding is
+    sign-symmetric) and the tails M_k (j, k = 0..mp) of cell (n, m)."""
+    suffix, prefix = _suffix_prefix(tables, m, n, width)
+    lam = [(-1) ** (width - j) * math.comb(width, j) * suffix[j] * prefix[j]
+           for j in range(width + 1)]
     tails = lam[:]
     for j in range(width - 1, -1, -1):
         tails[j] = lam[j] + tails[j + 1]
     return lam, tails
 
 
-def _operator_weights(raw, m: int, n: int) -> list:
+def _operator_weights(tables, m: int, n: int, width: int) -> list:
     """w_nu = [beta]_{nu+m-1} / ([alpha]_nu x^nu), nu = n..n+mp, times the
     common factor [alpha]_{n+mp} x^{n+mp} / [beta]_{n+m-1}, which cancels
-    in the quotient: suffix_j * prefix_j with lead x."""
-    suffix, prefix = _suffix_prefix(raw, raw[2], m, n)
+    in the quotient: suffix_j * prefix_j."""
+    suffix, prefix = _suffix_prefix(tables, m, n, width)
     return [u * v for u, v in zip(suffix, prefix)]
 
 
@@ -156,7 +160,7 @@ def _degenerate_threshold(prec: int):
     return mp.mpf(10) ** (4 - prec)
 
 
-def _cell_value(raw, m: int, n: int, s_window, a_window, path: TablePath,
+def _cell_value(tables, m: int, n: int, s_window, a_window, path: TablePath,
                 threshold):
     """Q^(m)_n on the DIRECT, REMAINDER or OPERATOR path, from
     s_n..s_{n+mp} and a_n..a_{n+mp-1}.
@@ -165,15 +169,16 @@ def _cell_value(raw, m: int, n: int, s_window, a_window, path: TablePath,
     Delta^{mp} w on the operator path) is below threshold * (mp+1) times
     the largest weight.
     """
+    width = len(s_window) - 1
     if path is TablePath.OPERATOR:
-        w = _operator_weights(raw, m, n)
+        w = _operator_weights(tables, m, n, width)
         den = _forward_diff(w)
         if abs(den) < threshold * max(abs(v) for v in w) * len(w):
             raise DegenerateDenominatorError(
                 f"difference denominator negligible at (n={n}, m={m})"
             )
         return _forward_diff([u * v for u, v in zip(w, s_window)]) / den
-    lam, tails = _weights(raw, m, n)
+    lam, tails = _weights(tables, m, n, width)
     if abs(tails[0]) < threshold * max(abs(v) for v in lam) * len(lam):
         raise DegenerateDenominatorError(
             f"denominator M_0 negligible at (n={n}, m={m})"
@@ -206,8 +211,9 @@ def lambda_weights(series: SeriesDef, m: int, n: int) -> LambdaWeights:
     if n < 0:
         raise ValueError("n must be >= 0")
     prec = series.precision.working
+    width = m * series.p
     with mp.workdps(prec):
-        lam, tails = _weights(_raw_params(series), m, n)
+        lam, tails = _weights(_factor_table(series, n + m - 1 + width), m, n, width)
         return LambdaWeights(
             m=m, n=n,
             lam=tuple(HPComplex.from_mpc(v, prec) for v in lam),
@@ -224,7 +230,8 @@ def _single_cell(series: SeriesDef, sums: PartialSums, m: int, n: int,
         raise ValueError(f"partial sums cover only s_0..s_{len(sums.s)-1}")
     prec = series.precision.working
     with mp.workdps(prec):
-        value = _cell_value(_raw_params(series), m, n,
+        tables = _factor_table(series, n + m - 1 + width)
+        value = _cell_value(tables, m, n,
                             [v.value for v in sums.s[n:n + width + 1]],
                             [v.value for v in sums.a[n:n + width]],
                             path, _degenerate_threshold(prec))
@@ -258,9 +265,8 @@ def p_apply_3f2(series: SeriesDef, z: Sequence, m: int, n: int) -> HPComplex:
         raise UnsupportedShapeError("the specialized operator requires p = 2")
     prec = series.precision.working
     with mp.workdps(prec):
-        av, bv, xv = _raw_params(series)
-        top = n + 3 * m - 1
-        c0, c1, c2 = _p_coeffs(_factors(av, 0, top, xv), _factors(bv, 0, top), m, n)
+        tables = _factor_table(series, n + 3 * m - 1)
+        c0, c1, c2 = _p_coeffs(*tables, m, n)
         return HPComplex.from_mpc(
             c0 * z[n].value + c1 * z[n + 1].value + c2 * z[n + 2].value, prec)
 
@@ -284,25 +290,22 @@ def q_table(series: SeriesDef, budget: int, max_m: int,
         table.cells[(n, 0)] = sums.s[n]
     prec = series.precision.working
     with mp.workdps(prec):
-        raw = _raw_params(series)
+        tables = _factor_table(series, budget + max_m)
         s = [v.value for v in sums.s]
         a = [v.value for v in sums.a]
         threshold = _degenerate_threshold(prec)
         if path is TablePath.RECURSION3F2:
-            av, bv, xv = raw
-            fa = _factors(av, 0, budget + max_m, xv)
-            fb = _factors(bv, 0, budget + max_m)
             N, D = s, [1] * len(s)
         for m in range(1, max_m + 1):
             width = m * p
             rows = range(1, budget - width + 1)
             if path is TablePath.RECURSION3F2:
-                coeffs = [_p_coeffs(fa, fb, m, n) for n in rows]
+                coeffs = [_p_coeffs(*tables, m, n) for n in rows]
                 N, D = _p_step(coeffs, N), _p_step(coeffs, D)
             for n in rows:
                 try:
                     if path is not TablePath.RECURSION3F2:
-                        value = _cell_value(raw, m, n, s[n:n + width + 1],
+                        value = _cell_value(tables, m, n, s[n:n + width + 1],
                                             a[n:n + width], path, threshold)
                     elif D[n] == 0:
                         raise DegenerateDenominatorError(f"D^({m})_{n} = 0")
@@ -330,8 +333,10 @@ def annihilation_residual(series: SeriesDef, m: int, n: int) -> float:
     p = series.p
     sums = partial_sums(series, n + m * p + m)
     prec = series.precision.working
+    mp_width = m * p
     with mp.workdps(prec):
-        w = _operator_weights(_raw_params(series), m, n)
+        tables = _factor_table(series, n + m - 1 + mp_width)
+        w = _operator_weights(tables, m, n, mp_width)
         a = [v.value for v in sums.a]
 
         def window(nu):
@@ -343,7 +348,6 @@ def annihilation_residual(series: SeriesDef, m: int, n: int) -> float:
         samples = [w[j] * window(n + j) for j in range(len(w))]
         total = _forward_diff(samples)
         # scale: largest signed binomial summand of the expanded difference
-        mp_width = m * p
         scale = max(
             math.comb(mp_width, j) * abs(samples[j]) for j in range(len(samples))
         )

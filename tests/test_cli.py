@@ -50,6 +50,18 @@ class TestUsageErrors:
 
 
 class TestSum:
+    @pytest.mark.parametrize("joined, split", [
+        (("--alpha=1/2", "--beta=3/2", "--x=-1/3"),
+         ("--alpha=1/2", "--beta=3/2", "--x", "-1/3")),
+        (("--alpha=-3,1/2", "--beta=2,3/2", "--x=1/2", "--limit=-2/3"),
+         ("--alpha", "-3,1/2", "--beta", "2,3/2", "--x", "1/2",
+          "--limit", "-2/3")),
+    ])
+    def test_negative_literal_after_separate_flag(self, capsys, joined, split):
+        expected = run(capsys, "sum", *joined)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, "sum", *split) == expected
+
     def test_preset_ex1(self, capsys):
         code, out, _ = run(capsys, "sum", "--preset", "ex1")
         assert code == 0

@@ -143,3 +143,10 @@ class TestArithmetic:
     def test_division(self):
         z = HPComplex(1, 1, P) / HPComplex(0, 1, P)
         assert z == HPComplex(1, -1, P)
+
+    def test_negation_keeps_precision_outside_workdps(self):
+        # the ambient context is 53 bits; -1/3 must keep all 42 working digits
+        z = -parse_number("1/3", CFG)
+        with mp.workdps(P + 20):
+            assert abs(z.value * 3 + 1) < mp.mpf(10) ** -41
+        assert z.precision == P

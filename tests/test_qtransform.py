@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp
 
 from qaccel.numerics import HPComplex, PrecisionConfig, parse_number, relative_error
-from qaccel.series import SeriesDef, _raw_params, partial_sums
+from qaccel import qtransform
+from qaccel.series import SeriesDef, _factors, partial_sums
 from qaccel.classic import epsilon_table
 from qaccel.qtransform import (
     TablePath,
@@ -24,6 +25,7 @@ from qaccel.qtransform import (
     leading_coeffs_exact,
     lambda_weights_exact,
     lambda_degree_check,
+    _factor_table,
     _operator_weights,
 )
 
@@ -123,7 +125,8 @@ class TestWeightKernel:
             width = m * series.p
             # the operator weights are lambda_j without C(mp, j) (-1)^{mp-j}
             with mp.workdps(P):
-                ow = _operator_weights(_raw_params(series), m, n)
+                tables = _factor_table(series, n + m - 1 + width)
+                ow = _operator_weights(tables, m, n, width)
                 via_operator = [math.comb(width, j) * (-1) ** (width - j) * ow[j]
                                 for j in range(width + 1)]
             with mp.workdps(P + 40):
@@ -166,6 +169,47 @@ class TestWeightKernel:
             assert set(other.cells) == set(direct.cells) and not other.flagged
             for key, value in direct.cells.items():
                 assert relative_error(other.cells[key], value) < TOL
+
+    @pytest.mark.parametrize("case", [
+        "ex1", "ex3",
+        (("-3", "1/2"), ("2", "3/2"), "1/2"),
+        (("1/2", "1/3"), ("2", "3/2"), "0"),
+    ], ids=["ex1", "ex3", "terminating", "x_zero"])
+    def test_table_cells_equal_single_cells(self, case, request):
+        # the shared factor table and a single cell's own window give the
+        # same cell, bit for bit, and flag the same cells
+        if isinstance(case, str):
+            series = request.getfixturevalue(case)[0]
+        else:
+            alpha, beta, x = case
+            series = SeriesDef(tuple(map(hp, alpha)), tuple(map(hp, beta)),
+                               hp(x), CFG)
+        budget, max_m = 15, 7
+        sums = partial_sums(series, budget)
+        for path, single in ((TablePath.DIRECT, q_direct),
+                             (TablePath.REMAINDER, q_remainder_form),
+                             (TablePath.OPERATOR, l_ratio)):
+            table = q_table(series, budget, max_m, path)
+            flagged = set()
+            for (n, m), value in table.cells.items():
+                try:
+                    assert single(series, sums, m, n) == value
+                except DegenerateDenominatorError:
+                    flagged.add((n, m))
+            assert flagged == table.flagged
+
+    @pytest.mark.parametrize("path", list(TablePath))
+    def test_one_factor_table_per_q_table(self, ex1, path, monkeypatch):
+        windows = []
+
+        def counting(params, lo, hi, *lead):
+            windows.append((lo, hi))
+            return _factors(params, lo, hi, *lead)
+
+        monkeypatch.setattr(qtransform, "_factors", counting)
+        q_table(ex1[0], 41, 20, path)
+        # fa and fb once each, over k < budget + max_m
+        assert windows == [(0, 61), (0, 61)]
 
     def test_q_direct_equals_table_cell(self, ex3):
         series, _ = ex3
@@ -429,6 +473,12 @@ class TestLeadingCoeffs:
         for cj in lc.c:
             total = total + cj
         assert relative_error(total, hp("1/16")) < TOL
+
+    def test_non_dyadic_x_residuals(self):
+        # 25/27 is not exactly representable; -x must not drop to 53 bits
+        lc = leading_coeffs(2, 2, hp("25/27"))
+        assert lc.sum_residual < 1e-38
+        assert lc.weighted_residual < 1e-38
 
     def test_exact_identities(self):
         for m in (1, 2, 3):
